@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"unsafe"
 
 	"upcbh/internal/arena"
@@ -32,8 +33,15 @@ import (
 //	"state"  JSON (ckptState): Options, step counts, runtime clocks and
 //	         scheduler counters, lock horizon, shared scalars, and every
 //	         thread's persistent private state.
-//	"heap"   the bodies heap: each shard's allocated bytes [0, n),
-//	         concatenated in thread order.
+//	"heap"   the live body slots: in shard order, each shard's slots
+//	         referenced by some thread's owned-body list, ascending by
+//	         index, as raw element bytes. Every other slot is dead at a
+//	         step gate (ownership is a disjoint cover of the bodies, and
+//	         nothing reads a slot it does not own before writing it),
+//	         so restore leaves those as the fresh setup made them.
+//	         Containers whose state lacks the heap_layout marker carry
+//	         the older dense layout — each shard's allocated bytes
+//	         [0, n) — and still restore.
 //	"refs"   each thread's owned-body reference list (raw upc.Ref
 //	         bytes), concatenated in thread order.
 
@@ -43,6 +51,10 @@ const (
 	regHeap  = "heap"
 	regRefs  = "refs"
 )
+
+// heapLive is the ckptState.HeapLayout of a heap region holding only
+// the live body slots.
+const heapLive = "live"
 
 // ckptThread is one thread's persistent private state (the subset of
 // tstate that survives a step gate; scratch that every step rebuilds —
@@ -97,9 +109,13 @@ type ckptState struct {
 	GeomS rootGeom `json:"geom_s"`
 	RootS NodeRef  `json:"root_s"`
 
-	// HeapLens[i] is the element count of bodies shard i; together with
-	// the element size it slices the heap region.
+	// HeapLens[i] is the element count of bodies shard i: the layout
+	// restore grows each shard to.
 	HeapLens []int32 `json:"heap_lens"`
+	// HeapLayout is heapLive when the heap region holds only the live
+	// body slots. It is absent on dense containers, whose heap region
+	// is every shard's [0, HeapLens[i]) in shard order.
+	HeapLayout string `json:"heap_layout,omitempty"`
 
 	Threads []ckptThread `json:"threads"`
 }
@@ -148,21 +164,27 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 	}
 	p := s.rt.Threads()
 	cs := ckptState{
-		Options:   s.o,
-		StepsDone: s.stepsDone,
-		Runtime:   s.rt.CaptureState(),
-		Locks:     s.locks.CaptureAvail(),
-		TolS:      s.tolS.Peek(),
-		EpsS:      s.epsS.Peek(),
-		GeomS:     s.geomS.Peek(),
-		RootS:     s.rootS.Peek(),
-		HeapLens:  make([]int32, p),
-		Threads:   make([]ckptThread, p),
+		Options:    s.o,
+		StepsDone:  s.stepsDone,
+		Runtime:    s.rt.CaptureState(),
+		Locks:      s.locks.CaptureAvail(),
+		TolS:       s.tolS.Peek(),
+		EpsS:       s.epsS.Peek(),
+		GeomS:      s.geomS.Peek(),
+		RootS:      s.rootS.Peek(),
+		HeapLens:   make([]int32, p),
+		HeapLayout: heapLive,
+		Threads:    make([]ckptThread, p),
 	}
-	var heap, refs []byte
+	runs, live, err := s.liveRuns()
+	if err != nil {
+		return nil, err
+	}
+	heap := make([]byte, 0, live*s.bodies.ElemSize())
+	refs := make([]byte, 0, live*refBytes)
 	for i, st := range s.ts {
 		cs.HeapLens[i] = int32(s.bodies.Len(i))
-		heap = s.bodies.CaptureShard(i, heap)
+		heap = s.bodies.CaptureRuns(i, runs[i], heap)
 		refs = appendRefBytes(refs, st.myBodies)
 		cs.Threads[i] = ckptThread{
 			Step:         st.step,
@@ -201,6 +223,46 @@ func (s *Sim) checkpointRegions() ([]arena.NamedRegion, error) {
 }
 
 const refBytes = int(unsafe.Sizeof(upc.Ref{}))
+
+// liveRuns returns each bodies shard's live slots — those referenced by
+// some thread's owned-body list — as ascending, coalesced runs, plus
+// the live count. Capture and restore derive the heap region's layout
+// from the same owned lists through this one function. Ownership is a
+// disjoint cover of the bodies, so a slot referenced twice is an
+// error; every ref must lie within its shard's allocated length.
+func (s *Sim) liveRuns() (runs [][]upc.Run, live int, err error) {
+	marks := make([][]uint64, len(s.ts))
+	for i := range marks {
+		marks[i] = make([]uint64, (s.bodies.Len(i)+63)/64)
+	}
+	for _, st := range s.ts {
+		for _, r := range st.myBodies {
+			w, bit := &marks[r.Thr][r.Idx>>6], uint64(1)<<(r.Idx&63)
+			if *w&bit != 0 {
+				return nil, 0, fmt.Errorf("core: checkpoint body slot %v owned twice", r)
+			}
+			*w |= bit
+		}
+		live += len(st.myBodies)
+	}
+	runs = make([][]upc.Run, len(marks))
+	for i, m := range marks {
+		for wi, w := range m {
+			for w != 0 {
+				lo := bits.TrailingZeros64(w)
+				n := bits.TrailingZeros64(^(w >> lo))
+				w &^= (1<<n - 1) << lo
+				r := upc.Run{Lo: int32(wi*64 + lo), Hi: int32(wi*64 + lo + n)}
+				if k := len(runs[i]) - 1; k >= 0 && runs[i][k].Hi == r.Lo {
+					runs[i][k].Hi = r.Hi
+				} else {
+					runs[i] = append(runs[i], r)
+				}
+			}
+		}
+	}
+	return runs, live, nil
+}
 
 func appendRefBytes(buf []byte, refs []upc.Ref) []byte {
 	if len(refs) == 0 {
@@ -287,7 +349,11 @@ func (e *badCheckpointError) Unwrap() []error { return []error{ErrBadCheckpoint,
 // captured snapshot. The fresh session has run setup and parked before
 // step 0, so the heap allocation layout is the checkpointed run's
 // setup-time layout; shards the checkpointed run grew past it are
-// extended first, then every mutable byte is replaced.
+// extended first, then the captured state and body slots are written
+// over it. Body slots a live-layout container does not carry keep what
+// the fresh setup or GrowShard left in them: nothing reads them before
+// writing them (compaction and gathers read owned refs only, and every
+// step rebuilds the tree).
 func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 	p := s.rt.Threads()
 	if len(cs.Threads) != p || len(cs.HeapLens) != p {
@@ -308,8 +374,10 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 	s.geomS.Poke(cs.GeomS)
 	s.rootS.Poke(cs.RootS)
 
-	elem := s.bodies.ElemSize()
-	var heapOff, refsOff int
+	if cs.HeapLayout != "" && cs.HeapLayout != heapLive {
+		return fmt.Errorf("core: checkpoint heap layout %q unknown", cs.HeapLayout)
+	}
+	var refsOff int
 	for i, st := range s.ts {
 		tc := &cs.Threads[i]
 		n := int(cs.HeapLens[i])
@@ -319,14 +387,6 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 		if err := s.bodies.GrowShard(i, cs.HeapLens[i]); err != nil {
 			return err
 		}
-		nb := n * elem
-		if heapOff+nb > len(heap) {
-			return fmt.Errorf("core: checkpoint heap region truncated (shard %d needs %d bytes, %d left)", i, nb, len(heap)-heapOff)
-		}
-		if err := s.bodies.RestoreShard(i, heap[heapOff:heapOff+nb]); err != nil {
-			return err
-		}
-		heapOff += nb
 
 		if tc.NOwned < 0 || tc.NOwned > (len(refs)-refsOff)/refBytes {
 			return fmt.Errorf("core: checkpoint refs region truncated (thread %d owns %d bodies)", i, tc.NOwned)
@@ -395,11 +455,32 @@ func (s *Sim) restoreState(cs *ckptState, heap, refs []byte) error {
 		st.stepPh = append(st.stepPh[:0], tc.StepPh...)
 		st.phaseComm = tc.PhaseComm
 	}
-	if heapOff != len(heap) {
-		return fmt.Errorf("core: checkpoint heap region has %d trailing bytes", len(heap)-heapOff)
-	}
 	if refsOff != len(refs) {
 		return fmt.Errorf("core: checkpoint refs region has %d trailing bytes", len(refs)-refsOff)
+	}
+
+	// The refs are validated and installed; they decide which slots the
+	// heap region carries.
+	runs, live, err := s.liveRuns()
+	if err != nil {
+		return err
+	}
+	if cs.HeapLayout == heapLive {
+		if want := live * s.bodies.ElemSize(); len(heap) != want {
+			return fmt.Errorf("core: checkpoint heap region holds %d bytes, %d live bodies need %d", len(heap), live, want)
+		}
+	} else {
+		for i, n := range cs.HeapLens {
+			runs[i] = []upc.Run{{Lo: 0, Hi: n}}
+		}
+	}
+	for i := range s.ts {
+		if heap, err = s.bodies.RestoreRuns(i, runs[i], heap); err != nil {
+			return fmt.Errorf("core: checkpoint heap region truncated: %w", err)
+		}
+	}
+	if len(heap) != 0 {
+		return fmt.Errorf("core: checkpoint heap region has %d trailing bytes", len(heap))
 	}
 	s.stepsDone = cs.StepsDone
 	return nil

@@ -10,8 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"upcbh/internal/arena"
+	"upcbh/internal/upc"
 )
 
 // checkpointAt runs opts for k steps, checkpoints, and returns the
@@ -32,6 +34,64 @@ func checkpointAt(t *testing.T, opts Options, k int) ([]byte, *Sim) {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), sim
+}
+
+// rewriteCheckpoint re-encodes a checkpoint container after f has
+// edited its decoded state and returned the heap and refs regions to
+// write. The result is CRC-valid, so restore must judge its content.
+func rewriteCheckpoint(t *testing.T, ckpt []byte, f func(cs *ckptState, heap, refs []byte) ([]byte, []byte)) []byte {
+	t.Helper()
+	c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, _ := c.Region(regState)
+	var cs ckptState
+	if err := json.Unmarshal(state, &cs); err != nil {
+		t.Fatal(err)
+	}
+	heap, _ := c.Region(regHeap)
+	refs, _ := c.Region(regRefs)
+	heap, refs = f(&cs, heap, refs)
+	enc, err := json.Marshal(&cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err = arena.WriteCheckpoint(&buf, c.Header.Key, c.Header.Step, nil, []arena.NamedRegion{
+		{Name: regState, Data: enc},
+		{Name: regHeap, Data: heap},
+		{Name: regRefs, Data: refs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// denseHeap is the heap region in the dense layout that predates
+// live-slot capture: every bodies shard's allocated slots [0, Len) in
+// shard order, gap and dead slots included.
+func denseHeap(s *Sim) []byte {
+	elem := s.bodies.ElemSize()
+	var heap []byte
+	for i := range s.ts {
+		for j := 0; j < s.bodies.Len(i); j++ {
+			b := s.bodies.Raw(upc.Ref{Thr: int32(i), Idx: int32(j)})
+			heap = append(heap, unsafe.Slice((*byte)(unsafe.Pointer(b)), elem)...)
+		}
+	}
+	return heap
+}
+
+// denseCheckpoint rewrites ckpt, taken from the paused src, as a dense
+// container: the heap region as denseHeap, and no heap_layout marker.
+func denseCheckpoint(t *testing.T, src *Sim, ckpt []byte) []byte {
+	t.Helper()
+	return rewriteCheckpoint(t, ckpt, func(cs *ckptState, _, refs []byte) ([]byte, []byte) {
+		cs.HeapLayout = ""
+		return denseHeap(src), refs
+	})
 }
 
 // TestCheckpointRestoreEquivalence is the restore-equivalence matrix:
@@ -140,6 +200,79 @@ func TestCheckpointSnapshotAgrees(t *testing.T) {
 	gj, _ := json.Marshal(got)
 	if !bytes.Equal(wj, gj) {
 		t.Fatalf("restored snapshot differs from source snapshot:\n%.400s\nvs\n%.400s", gj, wj)
+	}
+}
+
+// TestCheckpointRestoreDense: a container in the dense heap layout —
+// what checkpoints carried before live-slot capture, and what a
+// durable store may still hold — restores, and the continuation is
+// byte-identical to the uninterrupted run.
+func TestCheckpointRestoreDense(t *testing.T) {
+	cases := []struct {
+		level Level
+		scen  string
+	}{
+		{LevelRedistribute, "clustered"},
+		{LevelSubspace, "plummer"},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%s", c.level, c.scen), func(t *testing.T) {
+			opts := DefaultOptions(512, 4, c.level)
+			opts.Scenario = c.scen
+			opts.Steps, opts.Warmup = 4, 1
+			ref := runOnce(t, opts)
+
+			ckpt, src := checkpointAt(t, opts, 2)
+			dense := denseCheckpoint(t, src, ckpt)
+			src.Release()
+			if len(dense) <= len(ckpt) {
+				t.Fatalf("dense container (%d bytes) is no larger than the live one (%d bytes)", len(dense), len(ckpt))
+			}
+
+			restored, err := Restore(bytes.NewReader(dense))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Release()
+			got, err := restored.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp, want := resultFingerprint(t, got), resultFingerprint(t, ref); fp != want {
+				t.Fatalf("dense restore diverged from the uninterrupted run:\n%.300s\nvs\n%.300s", fp, want)
+			}
+			sameBodies(t, got.Bodies, ref.Bodies)
+		})
+	}
+}
+
+// TestCheckpointHeapLiveOnly pins the heap region's size: after
+// migrations have left holes in the gather buffers, it carries exactly
+// one element per body, not the buffers' allocated slots.
+func TestCheckpointHeapLiveOnly(t *testing.T) {
+	opts := DefaultOptions(512, 4, LevelRedistribute)
+	opts.Scenario = "clustered"
+	opts.Steps, opts.Warmup = 4, 1
+	ckpt, src := checkpointAt(t, opts, 3)
+	defer src.Release()
+
+	migrated, allocated := 0, 0
+	for i, st := range src.ts {
+		migrated += st.migrated
+		allocated += src.bodies.Len(i)
+	}
+	if migrated == 0 {
+		t.Fatal("no body migrated before the checkpoint; the case pins nothing")
+	}
+	c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, _ := c.Region(regHeap)
+	elem := src.bodies.ElemSize()
+	if want := opts.Bodies * elem; len(heap) != want {
+		t.Fatalf("heap region holds %d bytes, want %d (%d bodies × %d B); the shards allocate %d slots",
+			len(heap), want, opts.Bodies, elem, allocated)
 	}
 }
 
@@ -289,32 +422,10 @@ func TestRestoreRejects(t *testing.T) {
 	// it like it does the body refs — reject, never a later panic.
 	mutated := func(f func(cs *ckptState)) []byte {
 		t.Helper()
-		c, err := arena.ReadCheckpoint(bytes.NewReader(ckpt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		state, _ := c.Region(regState)
-		var cs ckptState
-		if err := json.Unmarshal(state, &cs); err != nil {
-			t.Fatal(err)
-		}
-		f(&cs)
-		enc, err := json.Marshal(&cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, _ := c.Region(regHeap)
-		refs, _ := c.Region(regRefs)
-		var buf bytes.Buffer
-		err = arena.WriteCheckpoint(&buf, c.Header.Key, c.Header.Step, nil, []arena.NamedRegion{
-			{Name: regState, Data: enc},
-			{Name: regHeap, Data: heap},
-			{Name: regRefs, Data: refs},
+		return rewriteCheckpoint(t, ckpt, func(cs *ckptState, heap, refs []byte) ([]byte, []byte) {
+			f(cs)
+			return heap, refs
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
 	}
 
 	expectErr("buffer index out of range",
@@ -331,6 +442,38 @@ func TestRestoreRejects(t *testing.T) {
 		mutated(func(cs *ckptState) { cs.Threads[0].NOwned = 1 << 60 }), "refs region truncated")
 	expectErr("buffer ref negative index",
 		mutated(func(cs *ckptState) { cs.Threads[0].Buf[cs.Threads[0].Cur].Idx = -1 }), "current buffer")
+	expectErr("unknown heap layout",
+		mutated(func(cs *ckptState) { cs.HeapLayout = "sparse" }), "heap layout")
+
+	// The refs region decides which body slots the heap region carries,
+	// so it must describe a disjoint ownership, and the heap region must
+	// hold exactly the owned slots.
+	elem := src.bodies.ElemSize()
+	expectErr("slot owned by two threads",
+		rewriteCheckpoint(t, ckpt, func(cs *ckptState, heap, refs []byte) ([]byte, []byte) {
+			refs = append([]byte(nil), refs...)
+			copy(refs[cs.Threads[0].NOwned*refBytes:], refs[:refBytes])
+			return heap, refs
+		}), "owned twice")
+	expectErr("live heap one element short",
+		rewriteCheckpoint(t, ckpt, func(_ *ckptState, heap, refs []byte) ([]byte, []byte) {
+			return heap[:len(heap)-elem], refs
+		}), "live bodies need")
+	expectErr("live heap with trailing bytes",
+		rewriteCheckpoint(t, ckpt, func(_ *ckptState, heap, refs []byte) ([]byte, []byte) {
+			return append(append([]byte(nil), heap...), make([]byte, 8)...), refs
+		}), "live bodies need")
+
+	// The dense layout is length-checked too.
+	dense := denseCheckpoint(t, src, ckpt)
+	expectErr("dense heap one element short",
+		rewriteCheckpoint(t, dense, func(_ *ckptState, heap, refs []byte) ([]byte, []byte) {
+			return heap[:len(heap)-elem], refs
+		}), "heap region truncated")
+	expectErr("dense heap with trailing bytes",
+		rewriteCheckpoint(t, dense, func(_ *ckptState, heap, refs []byte) ([]byte, []byte) {
+			return append(append([]byte(nil), heap...), make([]byte, 8)...), refs
+		}), "trailing bytes")
 }
 
 // TestCheckpointRestoreFreshProcess re-executes the test binary so the

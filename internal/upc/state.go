@@ -91,53 +91,54 @@ func (rt *Runtime) RestoreState(st RuntimeState) error {
 	return nil
 }
 
-// CaptureShard appends the raw bytes of the first Len(thr) elements of
-// thread thr's shard to buf and returns the extended buffer. The bytes
-// are the element storage verbatim — including any never-written gap
-// slots from chunk-boundary skips, which the deterministic allocator
-// reproduces and the application never reads.
-func (h *Heap[T]) CaptureShard(thr int, buf []byte) []byte {
-	sh := &h.shards[thr]
-	cs := h.chunkSize
-	for start := int32(0); start < sh.n; start += cs {
-		end := start + cs
-		if end > sh.n {
-			end = sh.n
-		}
-		c := sh.table[start>>h.shift].Load()
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[0])), int(cs)*h.elemSize)
-		buf = append(buf, b[:int(end-start)*h.elemSize]...)
-	}
+// Run is a half-open range [Lo, Hi) of element indices within one
+// shard.
+type Run struct{ Lo, Hi int32 }
+
+// CaptureRuns appends the raw bytes of the elements in runs of thread
+// thr's shard to buf, in run order, and returns the extended buffer.
+// Every run must lie within the allocated [0, Len(thr)); a run may span
+// chunk boundaries.
+func (h *Heap[T]) CaptureRuns(thr int, runs []Run, buf []byte) []byte {
+	h.eachSpan(thr, runs, func(b []byte) { buf = append(buf, b...) })
 	return buf
 }
 
-// RestoreShard overwrites the allocated elements of thread thr's shard
-// with previously captured bytes. The shard must already hold exactly
-// the right number of elements — the restore protocol reconstructs the
-// allocation layout by re-running the deterministic setup, then
-// overwrites the contents.
-func (h *Heap[T]) RestoreShard(thr int, data []byte) error {
-	sh := &h.shards[thr]
-	if want := int(sh.n) * h.elemSize; want != len(data) {
-		return fmt.Errorf("upc: restore shard %d: %d bytes captured, shard holds %d", thr, len(data), want)
-	}
-	cs := h.chunkSize
-	for start := int32(0); start < sh.n; start += cs {
-		end := start + cs
-		if end > sh.n {
-			end = sh.n
+// RestoreRuns overwrites the elements in runs of thread thr's shard
+// with the leading bytes of data, in run order — the inverse of
+// CaptureRuns — and returns the unconsumed rest of data. The restore
+// protocol reconstructs the allocation layout first (deterministic
+// setup, then GrowShard); runs outside it, or more bytes than data
+// holds, are an error and leave the shard untouched.
+func (h *Heap[T]) RestoreRuns(thr int, runs []Run, data []byte) ([]byte, error) {
+	n := h.shards[thr].n
+	need := 0
+	for _, r := range runs {
+		if r.Lo < 0 || r.Lo > r.Hi || r.Hi > n {
+			return nil, fmt.Errorf("upc: restore shard %d: run [%d, %d) outside the %d allocated elements", thr, r.Lo, r.Hi, n)
 		}
-		c := sh.table[start>>h.shift].Load()
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[0])), int(cs)*h.elemSize)
-		copy(b[:int(end-start)*h.elemSize], data[int(start)*h.elemSize:])
+		need += int(r.Hi-r.Lo) * h.elemSize
 	}
-	return nil
+	if need > len(data) {
+		return nil, fmt.Errorf("upc: restore shard %d: runs need %d bytes, %d captured", thr, need, len(data))
+	}
+	h.eachSpan(thr, runs, func(b []byte) { data = data[copy(b, data):] })
+	return data, nil
 }
 
-// ShardBytes returns the size in bytes of the allocated portion of
-// thread thr's shard (what CaptureShard would append).
-func (h *Heap[T]) ShardBytes(thr int) int {
-	return int(h.shards[thr].n) * h.elemSize
+// eachSpan calls f with the element storage of runs in thread thr's
+// shard as raw bytes, one call per chunk-contained span, in run order.
+func (h *Heap[T]) eachSpan(thr int, runs []Run, f func(b []byte)) {
+	sh := &h.shards[thr]
+	mask := h.chunkSize - 1
+	for _, r := range runs {
+		for lo := r.Lo; lo < r.Hi; {
+			hi := min(r.Hi, (lo|mask)+1)
+			c := sh.table[lo>>h.shift].Load()
+			f(unsafe.Slice((*byte)(unsafe.Pointer(&(*c)[lo&mask])), int(hi-lo)*h.elemSize))
+			lo = hi
+		}
+	}
 }
 
 // GrowShard extends thread thr's shard to exactly n allocated elements,
@@ -146,8 +147,8 @@ func (h *Heap[T]) ShardBytes(thr int) int {
 // checkpointed run may have allocated buffers mid-flight (subspace
 // buffer growth) that the fresh setup does not reproduce, so restore
 // first grows the shard to the captured layout and then overwrites the
-// contents with RestoreShard. Chunk contents are unspecified until
-// overwritten.
+// captured contents with RestoreRuns. Chunk contents are unspecified
+// until overwritten.
 func (h *Heap[T]) GrowShard(thr int, n int32) error {
 	sh := &h.shards[thr]
 	if n < sh.n {
