@@ -171,7 +171,7 @@ func TestRunStreamFromRestoredSim(t *testing.T) {
 
 // TestCheckpointFileKilledMidWrite: SIGKILL delivered while -checkpoint
 // is writing must never leave a torn container at the target path — the
-// atomic temp-file + rename contract of arena.WriteFileCheckpoint. A
+// atomic temp-file + rename contract of store.WriteAtomic. A
 // child process writes the same checkpoint file in a tight loop; the
 // parent kills it at varying points and asserts the target is either
 // absent or a complete, restorable container. (A *.tmp sibling may

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -50,30 +48,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if r.Off%8 != 0 {
 			t.Fatalf("region %q offset %d not 8-aligned", r.Name, r.Off)
 		}
-	}
-}
-
-// TestFileCheckpointByteIdentical pins the tentpole contract: the
-// streaming writer and the mmap/msync writer produce the same bytes.
-func TestFileCheckpointByteIdentical(t *testing.T) {
-	env := json.RawMessage(`{"goos":"linux"}`)
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, "k", 7, env, sampleRegions()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ckpt.bin")
-	if err := WriteFileCheckpoint(path, "k", 7, env, sampleRegions()); err != nil {
-		t.Fatal(err)
-	}
-	fileBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), fileBytes) {
-		t.Fatalf("stream (%d bytes) and mmap (%d bytes) checkpoints differ", buf.Len(), len(fileBytes))
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(fileBytes)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -176,72 +150,6 @@ func TestCheckpointHugePayloadLenNoUpfrontAlloc(t *testing.T) {
 	if _, err := ReadCheckpoint(bytes.NewReader(craft(-1))); err == nil ||
 		!strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("negative payload length: got %v, want implausible-length error", err)
-	}
-}
-
-// TestFileCheckpointAtomic pins the durability contract's visible
-// half: a successful write leaves no temp file behind, and overwriting
-// an existing container goes through rename (the old contents are
-// never truncated in place — at every instant the path holds one
-// complete container).
-func TestFileCheckpointAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.bin")
-	if err := WriteFileCheckpoint(path, "k", 1, nil, sampleRegions()); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite with a different step: must succeed and replace.
-	if err := WriteFileCheckpoint(path, "k", 2, nil, sampleRegions()); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("temp file %s left behind after a successful write", e.Name())
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c, err := ReadCheckpoint(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Header.Step != 2 {
-		t.Fatalf("replaced container carries step %d, want 2", c.Header.Step)
-	}
-}
-
-// TestFileCheckpointFailureKeepsPrevious: when the write cannot
-// complete (here: the temp path is a directory, so Create fails), the
-// previous container at path is untouched.
-func TestFileCheckpointFailureKeepsPrevious(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.bin")
-	if err := WriteFileCheckpoint(path, "k", 5, nil, sampleRegions()); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileCheckpoint(path, "k", 6, nil, sampleRegions()); err == nil {
-		t.Fatal("write through a blocked temp path succeeded")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("failed write perturbed the previous container")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"upcbh/internal/arena"
 	"upcbh/internal/hostenv"
+	"upcbh/internal/store"
 	"upcbh/internal/upc"
 )
 
@@ -133,15 +134,18 @@ func (s *Sim) Checkpoint(w io.Writer) error {
 	return arena.WriteCheckpoint(w, s.o.Key(), s.stepsDone, captureEnv(), regions)
 }
 
-// CheckpointFile writes the checkpoint through a file-backed mmap
-// (arena.WriteFileCheckpoint): the msync-based zero-copy path,
-// byte-identical to what Checkpoint streams.
+// CheckpointFile durably publishes what Checkpoint streams at path,
+// through store.WriteAtomic with the temp name path+".tmp": when it
+// returns nil the complete container is on stable storage at path, and
+// at no earlier point can a torn container appear there.
 func (s *Sim) CheckpointFile(path string) error {
 	regions, err := s.checkpointRegions()
 	if err != nil {
 		return err
 	}
-	return arena.WriteFileCheckpoint(path, s.o.Key(), s.stepsDone, captureEnv(), regions)
+	return store.WriteAtomic(store.OSFS, path+".tmp", path, func(w io.Writer) error {
+		return arena.WriteCheckpoint(w, s.o.Key(), s.stepsDone, captureEnv(), regions)
+	})
 }
 
 func captureEnv() json.RawMessage {

@@ -276,8 +276,8 @@ func TestCheckpointHeapLiveOnly(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileByteIdentical: the streaming and mmap/msync
-// checkpoint writers emit the same bytes for a real simulation.
+// TestCheckpointFileByteIdentical: the file CheckpointFile publishes
+// holds exactly the bytes Checkpoint streams, for a real simulation.
 func TestCheckpointFileByteIdentical(t *testing.T) {
 	opts := DefaultOptions(256, 2, LevelMergedBuild)
 	opts.Steps, opts.Warmup = 3, 1
@@ -302,7 +302,7 @@ func TestCheckpointFileByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stream.Bytes(), file) {
-		t.Fatalf("stream (%d bytes) and mmap (%d bytes) checkpoints differ", stream.Len(), len(file))
+		t.Fatalf("stream (%d bytes) and file (%d bytes) checkpoints differ", stream.Len(), len(file))
 	}
 	restored, err := Restore(bytes.NewReader(file))
 	if err != nil {

@@ -2,9 +2,9 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 
-	"upcbh/internal/arena"
 	"upcbh/internal/octree"
 	"upcbh/internal/upc"
 )
@@ -113,12 +113,21 @@ func (fs *flatState) acquire(epoch uint64) *flatSnap {
 // its shard's snapshot range (gather appends) or in its idle alternate
 // buffer (compaction), so every slot this pass reads is frozen.
 func (s *Sim) flattenGlobal(t *upc.Thread, st *tstate, sn *flatSnap) {
+	// Reserve every array from counts this step already has, so each
+	// grows at most once instead of through a chain of appends: the
+	// snapshot holds at most every cell allocated this step, one kid
+	// entry per non-root cell or body leaf, and at most every body.
+	cells := 0
+	for thr := 0; thr < t.P(); thr++ {
+		cells += s.cells.Len(thr)
+	}
 	ft := &sn.ft
-	ft.Nodes = ft.Nodes[:0]
-	ft.Meta = ft.Meta[:0]
-	ft.Kids = ft.Kids[:0]
+	ft.Nodes = slices.Grow(ft.Nodes[:0], cells)
+	ft.Meta = slices.Grow(ft.Meta[:0], cells)
+	ft.Kids = slices.Grow(ft.Kids[:0], cells+s.o.Bodies)
+	ft.PM = slices.Grow(ft.PM[:0], s.o.Bodies)
 	ft.Bodies.Resize(0)
-	ft.PM = ft.PM[:0]
+	ft.Bodies.Reserve(s.o.Bodies)
 
 	if sn.leafIdx == nil {
 		sn.leafIdx = make([][]int32, t.P())
@@ -126,7 +135,7 @@ func (s *Sim) flattenGlobal(t *upc.Thread, st *tstate, sn *flatSnap) {
 	for thr := range sn.leafIdx {
 		n := s.bodies.Len(thr)
 		if cap(sn.leafIdx[thr]) < n {
-			sn.leafIdx[thr] = arena.MakeSlice[int32](s.mem, n, n)
+			sn.leafIdx[thr] = make([]int32, n)
 		}
 		shard := sn.leafIdx[thr][:n]
 		for i := range shard {
@@ -146,10 +155,9 @@ func (s *Sim) flattenCell(sn *flatSnap, r upc.Ref) int32 {
 	c := s.cells.Raw(r)
 	idx := int32(len(ft.Nodes))
 	l := 2 * c.Half
-	// Growth goes through the Sim's snapshot arena (thread 0 is the
-	// only builder); at steady state these appends stay in place.
-	ft.Nodes = arena.Append(s.mem, ft.Nodes, octree.FlatNode{CofM: c.CofM, Mass: c.Mass, LSq: l * l})
-	ft.Meta = arena.Append(s.mem, ft.Meta, octree.FlatMeta{Center: c.Center, Half: c.Half, Cost: c.Cost, N: c.NSub})
+	// flattenGlobal reserved the capacity: these appends stay in place.
+	ft.Nodes = append(ft.Nodes, octree.FlatNode{CofM: c.CofM, Mass: c.Mass, LSq: l * l})
+	ft.Meta = append(ft.Meta, octree.FlatMeta{Center: c.Center, Half: c.Half, Cost: c.Cost, N: c.NSub})
 
 	first := int32(len(ft.Kids))
 	nkids := int32(0)
@@ -159,7 +167,7 @@ func (s *Sim) flattenCell(sn *flatSnap, r upc.Ref) int32 {
 		}
 	}
 	for k := int32(0); k < nkids; k++ {
-		ft.Kids = arena.Append(s.mem, ft.Kids, 0)
+		ft.Kids = append(ft.Kids, 0)
 	}
 	ft.Nodes[idx].First = first
 	ft.Nodes[idx].Count = nkids
@@ -176,7 +184,7 @@ func (s *Sim) flattenCell(sn *flatSnap, r upc.Ref) int32 {
 			bi := int32(ft.Bodies.Len())
 			ft.Bodies.Resize(int(bi) + 1)
 			ft.Bodies.Set(int(bi), b.Pos, b.Mass, b.Cost, b.ID)
-			ft.PM = arena.Append(s.mem, ft.PM, octree.PosMass{Pos: b.Pos, Mass: b.Mass})
+			ft.PM = append(ft.PM, octree.PosMass{Pos: b.Pos, Mass: b.Mass})
 			sn.leafIdx[br.Thr][br.Idx] = bi + 1
 			ft.Kids[ki] = octree.FlatLeaf(bi)
 		} else {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"upcbh/internal/arena"
 	"upcbh/internal/machine"
 	"upcbh/internal/nbody"
 	"upcbh/internal/octree"
@@ -102,15 +101,6 @@ type Sim struct {
 	// flat is the shared native-backend snapshot state (see
 	// flatnative.go); nil under ModeSimulate or DisableFlat.
 	flat *flatState
-
-	// mem backs the global flat snapshots' hot arrays with off-heap
-	// (mmap) memory; tmem[i] backs thread i's local flat tree. Arenas
-	// are single-owner bump allocators, so the global one is touched
-	// only by thread 0 (the snapshot builder) and each tmem[i] only by
-	// its thread. All nil under ModeSimulate/DisableFlat or when mmap
-	// is unavailable — growth then falls back to the Go heap.
-	mem  *arena.Arena
-	tmem []*arena.Arena
 
 	init []nbody.Body
 	ts   []*tstate
@@ -244,22 +234,6 @@ func New(opts Options) (*Sim, error) {
 	}
 	if s.nativeFlat() {
 		s.flat = &flatState{}
-		// Arenas are sized from the body count with room for the
-		// doubling-growth dead space; anonymous mappings commit pages
-		// lazily, so over-reserving virtual space costs nothing. A
-		// failed mmap leaves the arenas nil and growth on the Go heap.
-		if a, err := arena.New(2048*opts.Bodies + 8<<20); err == nil {
-			s.mem = a
-			s.flat.bufs[0].ft.SetArena(a)
-			s.flat.bufs[1].ft.SetArena(a)
-		}
-		s.tmem = make([]*arena.Arena, p)
-		for i := range s.ts {
-			if a, err := arena.New(1024*(opts.Bodies/p+1) + 1<<20); err == nil {
-				s.tmem[i] = a
-				s.ts[i].lflat.SetArena(a)
-			}
-		}
 	}
 	return s, nil
 }
@@ -385,12 +359,6 @@ func (s *Sim) Release() {
 	s.state = simReleased
 	s.bodies.Release()
 	s.cells.Release()
-	// Unmap the flat-tree arenas after the threads have exited; any
-	// slice into them (snapshot buffers, local trees) is dead now.
-	s.mem.Close()
-	for _, a := range s.tmem {
-		a.Close()
-	}
 }
 
 // beginPhase/endPhase bracket one phase: wall/simulated time and the

@@ -1,9 +1,6 @@
 package nbody
 
-import (
-	"upcbh/internal/arena"
-	"upcbh/internal/vec"
-)
+import "upcbh/internal/vec"
 
 // SoA is a structure-of-arrays view of a body set: the hot read-only
 // inputs of tree construction and force computation (position, mass,
@@ -20,45 +17,46 @@ type SoA struct {
 	Mass []float64
 	Cost []float64
 	ID   []int32
-
-	// mem, when set via SetArena, backs all growth: the component
-	// arrays live in off-heap (GC-invisible) mmap memory. All element
-	// types are pointer-free, so the collector never needs to see them.
-	mem *arena.Arena
 }
 
 // Len returns the number of bodies in the view.
 func (s *SoA) Len() int { return len(s.Pos) }
-
-// SetArena directs all future growth of the view onto a: existing
-// contents are preserved (they migrate on the next growing Resize). A
-// nil arena reverts to Go-heap growth.
-func (s *SoA) SetArena(a *arena.Arena) { s.mem = a }
 
 // Resize sets the view's length to n, reusing capacity when possible and
 // preserving existing slots on growth. Newly exposed slots are
 // uninitialized (the caller fills every one).
 func (s *SoA) Resize(n int) {
 	if cap(s.Pos) < n {
-		c := 2 * cap(s.Pos)
-		if c < n {
-			c = n
-		}
-		pos := arena.MakeSlice[vec.V3](s.mem, n, c)
-		mass := arena.MakeSlice[float64](s.mem, n, c)
-		cost := arena.MakeSlice[float64](s.mem, n, c)
-		id := arena.MakeSlice[int32](s.mem, n, c)
-		copy(pos, s.Pos)
-		copy(mass, s.Mass)
-		copy(cost, s.Cost)
-		copy(id, s.ID)
-		s.Pos, s.Mass, s.Cost, s.ID = pos, mass, cost, id
+		s.realloc(n, max(2*cap(s.Pos), n))
 		return
 	}
 	s.Pos = s.Pos[:n]
 	s.Mass = s.Mass[:n]
 	s.Cost = s.Cost[:n]
 	s.ID = s.ID[:n]
+}
+
+// Reserve ensures capacity for n bodies without changing the view's
+// length or contents, so a caller that knows its final size up front
+// grows the arrays once rather than through repeated Resize doublings.
+func (s *SoA) Reserve(n int) {
+	if cap(s.Pos) < n {
+		s.realloc(s.Len(), n)
+	}
+}
+
+// realloc moves the view onto fresh arrays of length n and capacity c,
+// preserving the first min(n, Len) slots.
+func (s *SoA) realloc(n, c int) {
+	pos := make([]vec.V3, n, c)
+	mass := make([]float64, n, c)
+	cost := make([]float64, n, c)
+	id := make([]int32, n, c)
+	copy(pos, s.Pos)
+	copy(mass, s.Mass)
+	copy(cost, s.Cost)
+	copy(id, s.ID)
+	s.Pos, s.Mass, s.Cost, s.ID = pos, mass, cost, id
 }
 
 // Gather fills the view from bodies: slot i holds bodies[i] with

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
-	"upcbh/internal/arena"
 	"upcbh/internal/nbody"
 	"upcbh/internal/vec"
 )
@@ -120,21 +120,6 @@ type FlatTree struct {
 	// (which are therefore not safe for concurrent use on one FlatTree —
 	// concurrent walkers keep their own FlatWalker).
 	walker FlatWalker
-
-	// mem, when set via SetArena, backs all array growth: node records,
-	// kid entries, packed PM records, Morton scratch and the SoA body
-	// views all land in off-heap mmap memory, invisible to the GC. Every
-	// element type here is pointer-free by construction.
-	mem *arena.Arena
-}
-
-// SetArena directs all future growth of the tree's arrays onto a.
-// Existing contents are preserved (each array migrates on its next
-// growth). A nil arena reverts to Go-heap growth.
-func (ft *FlatTree) SetArena(a *arena.Arena) {
-	ft.mem = a
-	ft.Bodies.SetArena(a)
-	ft.scatter.SetArena(a)
 }
 
 // BuildFlat constructs a flat tree over bodies with the root cube derived
@@ -165,9 +150,13 @@ func (ft *FlatTree) Rebuild(bodies []nbody.Body) {
 func (ft *FlatTree) RebuildWithRoot(bodies []nbody.Body, center vec.V3, half float64) {
 	n := len(bodies)
 	ft.Center, ft.Half = center, half
-	ft.Nodes = ft.Nodes[:0]
-	ft.Meta = ft.Meta[:0]
-	ft.Kids = ft.Kids[:0]
+	// Reserve from the body count so each array grows once rather than
+	// through a chain of appends: an octree over n bodies typically has
+	// about n/2 cells (only tightly clustered inputs chain past n), and
+	// every kid entry is a non-root cell or a body leaf.
+	ft.Nodes = slices.Grow(ft.Nodes[:0], n)
+	ft.Meta = slices.Grow(ft.Meta[:0], n)
+	ft.Kids = slices.Grow(ft.Kids[:0], 2*n)
 
 	// Morton-sort a permutation of the input, then gather the SoA views
 	// in sorted order: the build below then streams over (nearly) final
@@ -195,7 +184,7 @@ func (ft *FlatTree) RebuildWithRoot(bodies []nbody.Body, center vec.V3, half flo
 func (ft *FlatTree) PackPM() {
 	n := ft.Bodies.Len()
 	if cap(ft.PM) < n {
-		ft.PM = arena.MakeSlice[PosMass](ft.mem, n, n)
+		ft.PM = make([]PosMass, n)
 	}
 	ft.PM = ft.PM[:n]
 	for i := 0; i < n; i++ {
@@ -205,10 +194,10 @@ func (ft *FlatTree) PackPM() {
 
 func (ft *FlatTree) ensureScratch(n int) {
 	if cap(ft.keys) < n {
-		ft.keys = arena.MakeSlice[uint64](ft.mem, n, n)
-		ft.keyTmp = arena.MakeSlice[uint64](ft.mem, n, n)
-		ft.perm = arena.MakeSlice[int32](ft.mem, n, n)
-		ft.permTmp = arena.MakeSlice[int32](ft.mem, n, n)
+		ft.keys = make([]uint64, n)
+		ft.keyTmp = make([]uint64, n)
+		ft.perm = make([]int32, n)
+		ft.permTmp = make([]int32, n)
 	}
 	ft.keys = ft.keys[:n]
 	ft.keyTmp = ft.keyTmp[:n]
@@ -219,8 +208,8 @@ func (ft *FlatTree) ensureScratch(n int) {
 
 func (ft *FlatTree) newNode(center vec.V3, half float64) int32 {
 	l := 2 * half
-	ft.Nodes = arena.Append(ft.mem, ft.Nodes, FlatNode{LSq: l * l})
-	ft.Meta = arena.Append(ft.mem, ft.Meta, FlatMeta{Center: center, Half: half})
+	ft.Nodes = append(ft.Nodes, FlatNode{LSq: l * l})
+	ft.Meta = append(ft.Meta, FlatMeta{Center: center, Half: half})
 	return int32(len(ft.Nodes) - 1)
 }
 
@@ -267,7 +256,7 @@ func (ft *FlatTree) buildRange(idx, lo, hi int32, depth int) {
 		}
 	}
 	for k := int32(0); k < nkids; k++ {
-		ft.Kids = arena.Append(ft.mem, ft.Kids, 0)
+		ft.Kids = append(ft.Kids, 0)
 	}
 	ft.Nodes[idx].First = first
 	ft.Nodes[idx].Count = nkids
@@ -692,7 +681,7 @@ func (ft *FlatTree) convCell(n *Node) int32 {
 		}
 	}
 	for k := int32(0); k < nkids; k++ {
-		ft.Kids = arena.Append(ft.mem, ft.Kids, 0)
+		ft.Kids = append(ft.Kids, 0)
 	}
 	ft.Nodes[idx].First = first
 	ft.Nodes[idx].Count = nkids

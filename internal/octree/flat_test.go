@@ -203,6 +203,27 @@ func TestFlatRebuildReusesArenas(t *testing.T) {
 	}
 }
 
+// TestFlatFreshRebuildAllocsOncePerArray guards the up-front capacity
+// reservation: a first Rebuild over n bodies allocates each backing array
+// exactly once — Nodes, Meta, Kids, PM, the four Morton sort scratch
+// arrays, and the four component arrays of each of the Bodies and scatter
+// SoA views — instead of growing them through a chain of appends.
+func TestFlatFreshRebuildAllocsOncePerArray(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const arrays = 3 + 1 + 4 + 4 + 4
+	bodies := nbody.Plummer(16384, 4)
+	var ft FlatTree
+	allocs := testing.AllocsPerRun(3, func() {
+		ft = FlatTree{}
+		ft.Rebuild(bodies)
+	})
+	if allocs > arrays {
+		t.Errorf("fresh Rebuild made %.1f allocations, want at most %d (one per array)", allocs, arrays)
+	}
+}
+
 // TestFlatForceOnZeroAlloc is the allocation-regression gate for the hot
 // kernel: after stack warmup, ForceOn performs zero allocations.
 func TestFlatForceOnZeroAlloc(t *testing.T) {

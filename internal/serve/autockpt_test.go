@@ -566,6 +566,39 @@ func TestRestoreOversized413(t *testing.T) {
 	}
 }
 
+// TestCreateOversized413: a POST /sims body beyond the fixed 1 MiB cap
+// answers 413 naming the cap, and a normal create still succeeds.
+func TestCreateOversized413(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	big := `{"options":{"bodies":256},"pad":"` + strings.Repeat("x", maxCreateBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/sims", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create: %d %s, want 413", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "1048576") {
+		t.Fatalf("413 body %q should name the cap", body)
+	}
+
+	const optsJSON = `{"options":{"bodies":256,"steps":4,"warmup":1,"level":"merged","machine":{"threads":2}}}`
+	resp, err = http.Post(ts.URL+"/sims", "application/json", strings.NewReader(optsJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("normal create: %d, want 201", resp.StatusCode)
+	}
+}
+
 // TestListSessions: GET /sims enumerates the registry in admission
 // order — the discovery surface recovery clients depend on.
 func TestListSessions(t *testing.T) {

@@ -170,9 +170,21 @@ func sessionOrd(id string) int {
 	return n
 }
 
+// maxCreateBytes caps a POST /sims body. A create request is a few
+// hundred bytes of options JSON; the cap keeps a hostile client from
+// streaming an unbounded document into the decoder. Larger bodies
+// answer 413.
+const maxCreateBytes = 1 << 20
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+				Error: fmt.Sprintf("create request exceeds the %d-byte body cap", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}

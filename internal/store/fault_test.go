@@ -18,7 +18,8 @@ import (
 //   - writeErr: Write returns it (EIO: failing device; ENOSPC: full disk)
 //   - tornAfter: Write persists only the first tornAfter bytes, then
 //     errors — a torn write
-//   - failCreate / failRename / failSyncDir: the corresponding call errors
+//   - failCreate / failSync / failRename / failSyncDir: the corresponding
+//     call errors
 //   - crashBeforeRename: Rename does nothing and reports errCrashed —
 //     the process "died" after writing the temp but before publishing it
 type faultFS struct {
@@ -26,6 +27,7 @@ type faultFS struct {
 	writeErr          error
 	tornAfter         int // -1 = disabled
 	failCreate        error
+	failSync          error
 	failRename        error
 	failSyncDir       error
 	crashBeforeRename bool
@@ -111,7 +113,16 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	return ff.f.Write(p)
 }
 
-func (ff *faultFile) Sync() error  { return ff.f.Sync() }
+func (ff *faultFile) Sync() error {
+	ff.fs.mu.Lock()
+	err := ff.fs.failSync
+	ff.fs.mu.Unlock()
+	if err != nil {
+		return &os.PathError{Op: "sync", Path: ff.path, Err: err}
+	}
+	return ff.f.Sync()
+}
+
 func (ff *faultFile) Close() error { return ff.f.Close() }
 
 // putOK seeds one good entry so fault tests can prove prior state

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // FS is the narrow filesystem surface the Store writes through. Every
@@ -69,4 +71,52 @@ func (osFS) SyncDir(dir string) error {
 		return serr
 	}
 	return cerr
+}
+
+// WriteAtomic durably publishes the bytes write produces at path: it
+// creates tmp, streams into it, fsyncs and closes it, renames it over
+// path, and fsyncs path's directory. tmp must be on the same
+// filesystem as path (in practice: the same directory) so the rename
+// is atomic.
+//
+// Durability contract: when WriteAtomic returns nil, the complete file
+// is durable at path. If the writer crashes (or the disk fails) at any
+// earlier point, path either does not exist or still holds its
+// previous complete contents — a truncated or torn file can never
+// appear at path. A failure before the rename removes tmp (best
+// effort); a crash can still leave it behind, which is dead weight,
+// not a hazard: it was never visible at path, and a rerun replaces it.
+// A failed directory fsync is reported as an error even though the
+// rename happened, because the new entry may not survive a power loss.
+//
+// This is the one temp → fsync → rename → directory-fsync
+// implementation: Store.Put and core.Sim.CheckpointFile both write
+// through it, so every durable file write is fault-injectable through
+// fsys.
+func WriteAtomic(fsys FS, tmp, path string, write func(io.Writer) error) error {
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("store: create temp %s: %w", tmp, err)
+	}
+	werr := write(f)
+	serr := f.Sync()
+	cerr := f.Close()
+	if werr == nil {
+		werr = serr
+	}
+	if werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("store: write temp %s: %w", tmp, werr)
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("store: publish %s: %w", path, err)
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("store: sync dir after publishing %s: %w", path, err)
+	}
+	return nil
 }

@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -206,18 +207,16 @@ func (s *Store) Put(key string, step int, data []byte) error {
 	kh := keyHash(key)
 	s.seq++
 	tmp := filepath.Join(s.dir, fmt.Sprintf("%s%s-%010d-%d", tmpPrefix, kh, step, s.seq))
-	if err := s.writeTmp(tmp, data); err != nil {
-		return s.failLocked(err)
-	}
 	final := filepath.Join(s.dir, entryName(kh, step))
-	if err := s.fs.Rename(tmp, final); err != nil {
-		_ = s.fs.Remove(tmp)
-		return s.failLocked(fmt.Errorf("store: publish %s: %w", final, err))
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		// The entry is visible but its directory entry may not survive a
-		// power loss; the write is not durable, so report it as failed.
-		return s.failLocked(fmt.Errorf("store: sync dir after publishing %s: %w", final, err))
+	err := WriteAtomic(s.fs, tmp, final, func(w io.Writer) error {
+		n, err := w.Write(data)
+		if err == nil && n < len(data) {
+			err = fmt.Errorf("short write (%d of %d bytes)", n, len(data))
+		}
+		return err
+	})
+	if err != nil {
+		return s.failLocked(err)
 	}
 	steps := s.index[kh]
 	if i := sort.SearchInts(steps, step); i == len(steps) || steps[i] != step {
@@ -230,30 +229,6 @@ func (s *Store) Put(key string, step int, data []byte) error {
 	s.degraded = false
 	s.lastErr = ""
 	s.gcLocked(kh)
-	return nil
-}
-
-func (s *Store) writeTmp(tmp string, data []byte) error {
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: create temp %s: %w", tmp, err)
-	}
-	n, werr := f.Write(data)
-	if werr == nil && n < len(data) {
-		werr = fmt.Errorf("short write (%d of %d bytes)", n, len(data))
-	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if werr == nil {
-		werr = serr
-	}
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = s.fs.Remove(tmp)
-		return fmt.Errorf("store: write temp %s: %w", tmp, werr)
-	}
 	return nil
 }
 
