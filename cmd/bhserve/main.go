@@ -1,11 +1,11 @@
 // Command bhserve is the multi-tenant simulation service: a daemon
 // exposing the steppable session lifecycle over HTTP. Sessions are
-// hashed onto a fixed set of worker shards with bounded queues
-// (backpressure is explicit: 429 with Retry-After when a shard is full,
-// 503 while draining), snapshot streams fan out from one stepper per
-// session to any number of NDJSON subscribers, and completed runs land
-// in a shared content-addressed cache so an identical later create is
-// answered without re-simulating.
+// placed on the least-loaded of a fixed set of worker shards with
+// bounded queues (backpressure is explicit: 429 with Retry-After when a
+// shard is full, 503 while draining), snapshot streams fan out from one
+// stepper per session to any number of NDJSON subscribers, and
+// completed runs land in a shared content-addressed cache so an
+// identical later create is answered without re-simulating.
 //
 //	bhserve -addr :8080 -shards 4 -queue 64
 //
@@ -103,7 +103,7 @@ func main() {
 		CkptInterval:    *ckptInterval,
 		MaxRestoreBytes: *maxRestore,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -128,5 +128,28 @@ func main() {
 		logf("bhserve: drained, exiting")
 	case err := <-errCh:
 		log.Fatalf("bhserve: %v", err)
+	}
+}
+
+// Connection timeouts. Only the header read and keep-alive idle time
+// are bounded: a request body (a restore upload of up to
+// -max-restore-bytes) and a response (an NDJSON stream that lasts as
+// long as its session) are legitimately long, so ReadTimeout and
+// WriteTimeout stay 0.
+const (
+	// readHeaderTimeout stops a client that opens a connection and
+	// trickles its headers from holding it forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections with no request in flight.
+	idleTimeout = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's listener around handler.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

@@ -178,19 +178,13 @@ func (s *Server) recoverSessions() {
 	}
 }
 
-// admitRecovered registers one boot-recovered session. The session's
-// shard-owned fields are initialized before it is published in the
-// registry (registration under mu is the happens-before edge to every
-// later shard task).
+// admitRecovered registers one boot-recovered session on the
+// least-loaded shard. The session's shard-owned fields are initialized
+// before it is published in the registry (registration under mu is the
+// happens-before edge to every later shard task).
 func (s *Server) admitRecovered(key string, sim *core.Sim) {
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	s.mu.Unlock()
 	sess := &session{
-		id:        id,
 		key:       key,
-		shard:     s.shards[shardFor(id, len(s.shards))],
 		hub:       newHub(),
 		opts:      sim.Options(),
 		created:   time.Now(),
@@ -200,10 +194,13 @@ func (s *Server) admitRecovered(key string, sim *core.Sim) {
 	sess.lastCkptStep = sim.StepsDone()
 	sess.lastCkptTime = time.Now()
 	s.mu.Lock()
-	s.sessions[id] = sess
+	s.nextID++
+	sess.id = fmt.Sprintf("s-%d", s.nextID)
+	s.place(sess)
+	s.sessions[sess.id] = sess
 	s.created++
 	s.recovered++
 	s.mu.Unlock()
 	s.logf("session %s: recovered from store at step %d of %d (%s)",
-		id, sim.StepsDone(), sess.opts.Steps, key)
+		sess.id, sim.StepsDone(), sess.opts.Steps, key)
 }

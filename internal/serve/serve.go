@@ -5,10 +5,10 @@
 //
 // Architecture (DESIGN.md §12):
 //
-//   - Sessions are hashed by ID onto shards. Each shard is one
-//     goroutine-owned loop with a bounded request queue; every operation
-//     on a session executes on its shard's loop, so session state is
-//     single-writer and lock-free.
+//   - Each session is placed on the least-loaded shard at admission and
+//     stays there. Each shard is one goroutine-owned loop with a bounded
+//     request queue; every operation on a session executes on its
+//     shard's loop, so session state is single-writer and lock-free.
 //   - A full shard queue rejects immediately (HTTP 429 with Retry-After)
 //     instead of blocking the handler: explicit backpressure.
 //   - Each session has a fan-out hub: one stepper drives the simulation,
@@ -130,6 +130,10 @@ type session struct {
 	released bool
 	stepping bool // a stream stepper is driving this session
 
+	// loaded: the session holds one unit of its shard's load. Guarded by
+	// Server.mu; cleared by the first unplace.
+	loaded bool
+
 	// Auto-checkpoint cadence (shard-loop-owned).
 	lastCkptStep int
 	lastCkptTime time.Time
@@ -222,37 +226,104 @@ func (s *Server) lookup(id string) (*session, bool) {
 	return sess, ok
 }
 
-// createSession admits one new session: assigns an ID, hashes it onto a
-// shard, and — on that shard's loop — either serves it from the
-// Options.Key() cache (no simulation is built) or constructs the live
-// core.Sim. The sessionInfo is captured on the shard loop in the same
-// task, so creation is a single submission and the response payload
+// place binds sess to the shard with the fewest sessions that can still
+// step (ties go to the lowest shard id) and charges that shard one unit
+// of load, so a new session never joins a busy shard while another sits
+// idle (DESIGN.md §12.1). The binding is fixed for the session's life.
+// s.mu must be held.
+func (s *Server) place(sess *session) {
+	sh := s.shards[0]
+	for _, c := range s.shards[1:] {
+		if c.load < sh.load {
+			sh = c
+		}
+	}
+	sess.shard = sh
+	sh.load++
+	sess.loaded = true
+}
+
+// unplace gives the session's unit of load back, the first time it can
+// no longer step: it finished, was released, or failed admission. Later
+// calls are no-ops. s.mu must be held.
+func (s *Server) unplace(sess *session) {
+	if sess.loaded {
+		sess.loaded = false
+		sess.shard.load--
+	}
+}
+
+// admit assigns sess its ID, places it, runs build on its shard's loop,
+// then registers it. ID and placement share one critical section, so
+// two concurrent admissions cannot both pick the same idle shard. The
+// registration is atomic with the draining check: Shutdown flips
+// draining under mu before sweeping, so either the session lands in the
+// registry in time for the sweep, or admit observes draining and tears
+// it down itself — unregistered and unreturned, this goroutine is its
+// only owner, so no shard task is needed. A session that fails
+// admission, or is born finished (a cache hit), gives its load back
+// here.
+func (s *Server) admit(sess *session, build func() error) error {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return errDraining
+	}
+	s.nextID++
+	sess.id = fmt.Sprintf("s-%d", s.nextID)
+	s.place(sess)
+	s.mu.Unlock()
+
+	var buildErr error
+	t, err := s.submit(sess.shard, func() { buildErr = build() })
+	if err == nil {
+		<-t.done
+		err = buildErr
+	}
+	s.mu.Lock()
+	drained := err == nil && s.draining
+	if drained {
+		err = errDraining
+	}
+	if err != nil || sess.finished {
+		s.unplace(sess)
+	}
+	if err == nil {
+		s.sessions[sess.id] = sess
+		s.created++
+		if sess.cacheHit {
+			s.cacheHits++
+		}
+	}
+	s.mu.Unlock()
+	if drained {
+		if sess.sim != nil {
+			sess.sim.Release()
+		}
+		sess.hub.close()
+	}
+	return err
+}
+
+// createSession admits one new session: assigns an ID, places it on the
+// least-loaded shard, and — on that shard's loop — either serves it from
+// the Options.Key() cache (no simulation is built) or constructs the
+// live core.Sim. The sessionInfo is captured on the shard loop in the
+// same task, so creation is a single submission and the response payload
 // cannot be lost to a later backpressure rejection. The returned session
 // is registered; err reports admission (backpressure/draining) or
 // construction (invalid options) failures.
 func (s *Server) createSession(opts core.Options) (*session, sessionInfo, error) {
 	var si sessionInfo
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, si, errDraining
-	}
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	s.mu.Unlock()
-
 	sess := &session{
-		id:      id,
 		key:     opts.Key(),
-		shard:   s.shards[shardFor(id, len(s.shards))],
 		hub:     newHub(),
 		opts:    opts,
 		created: time.Now(),
 	}
 	// Interval cadence counts from admission, not the zero time.
 	sess.lastCkptTime = sess.created
-	var buildErr error
-	t, err := s.submit(sess.shard, func() {
+	err := s.admit(sess, func() error {
 		// Content-addressed reuse: an identical completed run serves
 		// this session without building (or stepping) a simulation.
 		if res, ok := s.runner.Lookup(opts); ok {
@@ -260,12 +331,11 @@ func (s *Server) createSession(opts core.Options) (*session, sessionInfo, error)
 			sess.result = res
 			sess.finished = true
 			sess.hub.close()
-			s.logf("session %s: cache hit for %s", id, sess.key)
+			s.logf("session %s: cache hit for %s", sess.id, sess.key)
 		} else {
 			sim, err := core.New(opts)
 			if err != nil {
-				buildErr = err
-				return
+				return err
 			}
 			sess.sim = sim
 		}
@@ -280,35 +350,11 @@ func (s *Server) createSession(opts core.Options) (*session, sessionInfo, error)
 		if sess.finished {
 			si.Done = opts.Steps
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, si, err
 	}
-	<-t.done
-	if buildErr != nil {
-		return nil, si, buildErr
-	}
-
-	// Register atomically with the draining check: Shutdown flips
-	// draining under mu before sweeping, so either this session lands in
-	// the registry in time for the sweep, or we observe draining here and
-	// tear it down ourselves — unregistered and unreturned, this
-	// goroutine is its only owner, so no shard task is needed.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		if sess.sim != nil {
-			sess.sim.Release()
-		}
-		sess.hub.close()
-		return nil, si, errDraining
-	}
-	s.sessions[id] = sess
-	s.created++
-	if sess.cacheHit {
-		s.cacheHits++
-	}
-	s.mu.Unlock()
 	return sess, si, nil
 }
 
@@ -328,15 +374,6 @@ func (s *Server) createSession(opts core.Options) (*session, sessionInfo, error)
 // the restore can still recover the session.
 func (s *Server) restoreSession(upload []byte) (*session, sessionInfo, error) {
 	var si sessionInfo
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, si, errDraining
-	}
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	s.mu.Unlock()
-
 	data := upload
 	fromStore := false
 	var peekKey string
@@ -352,13 +389,10 @@ func (s *Server) restoreSession(upload []byte) (*session, sessionInfo, error) {
 	}
 
 	sess := &session{
-		id:      id,
-		shard:   s.shards[shardFor(id, len(s.shards))],
 		hub:     newHub(),
 		created: time.Now(),
 	}
-	var buildErr error
-	t, err := s.submit(sess.shard, func() {
+	err := s.admit(sess, func() error {
 		sim, err := core.Restore(bytes.NewReader(data))
 		if err != nil && fromStore {
 			// The store's copy passed format validation but failed the
@@ -369,8 +403,7 @@ func (s *Server) restoreSession(upload []byte) (*session, sessionInfo, error) {
 			sim, err = core.Restore(bytes.NewReader(upload))
 		}
 		if err != nil {
-			buildErr = err
-			return
+			return err
 		}
 		sess.sim = sim
 		sess.fromStore = fromStore
@@ -381,7 +414,7 @@ func (s *Server) restoreSession(upload []byte) (*session, sessionInfo, error) {
 		if s.cfg.Store != nil && !fromStore {
 			s.enqueueCkptLocked(ckptJob{key: sess.key, step: sim.StepsDone(), data: upload})
 		}
-		s.logf("session %s: restored at step %d (%s)", id, sim.StepsDone(), sess.key)
+		s.logf("session %s: restored at step %d (%s)", sess.id, sim.StepsDone(), sess.key)
 		si = sessionInfo{
 			ID:        sess.id,
 			Key:       sess.key,
@@ -390,28 +423,11 @@ func (s *Server) restoreSession(upload []byte) (*session, sessionInfo, error) {
 			Done:      sim.StepsDone(),
 			FromStore: fromStore,
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, si, err
 	}
-	<-t.done
-	if buildErr != nil {
-		return nil, si, buildErr
-	}
-
-	// Same registration race as createSession: either the session lands
-	// in the registry before Shutdown's sweep, or we observe draining and
-	// tear down the unregistered Sim ourselves.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		sess.sim.Release()
-		sess.hub.close()
-		return nil, si, errDraining
-	}
-	s.sessions[id] = sess
-	s.created++
-	s.mu.Unlock()
 	return sess, si, nil
 }
 
@@ -432,6 +448,9 @@ func (s *Server) finalizeLocked(sess *session) error {
 	}
 	sess.result = res
 	sess.finished = true
+	s.mu.Lock()
+	s.unplace(sess)
+	s.mu.Unlock()
 	if full {
 		s.runner.Memoize(sess.opts, res)
 	}
@@ -566,6 +585,7 @@ func (s *Server) releaseLocked(sess *session) {
 		sess.hub.close()
 	}
 	s.mu.Lock()
+	s.unplace(sess)
 	if _, ok := s.sessions[sess.id]; ok {
 		delete(s.sessions, sess.id)
 		s.released++
@@ -649,7 +669,7 @@ type ShardStats struct {
 	ID       int `json:"id"`
 	Queue    int `json:"queue"`    // requests waiting
 	Capacity int `json:"capacity"` // bounded queue depth
-	Sessions int `json:"sessions"` // live sessions hashed here
+	Sessions int `json:"sessions"` // live sessions placed here
 }
 
 // Stats is the service-wide observability snapshot (GET /stats).

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,31 +32,6 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	s := New(cfg)
 	t.Cleanup(s.Shutdown)
 	return s
-}
-
-// TestShardAssignmentStable: shardFor is deterministic and in-range, so
-// a session's every operation lands on the same loop for its lifetime.
-func TestShardAssignmentStable(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 16} {
-		for i := 0; i < 100; i++ {
-			id := fmt.Sprintf("s-%d", i)
-			a, b := shardFor(id, n), shardFor(id, n)
-			if a != b {
-				t.Fatalf("shardFor(%q, %d) unstable: %d vs %d", id, n, a, b)
-			}
-			if a < 0 || a >= n {
-				t.Fatalf("shardFor(%q, %d) = %d out of range", id, n, a)
-			}
-		}
-	}
-	// Sessions spread: with 8 shards and 100 IDs at least 2 shards are hit.
-	hit := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		hit[shardFor(fmt.Sprintf("s-%d", i), 8)] = true
-	}
-	if len(hit) < 2 {
-		t.Fatalf("100 sessions all hashed onto one of 8 shards")
-	}
 }
 
 // TestSessionLifecycle: create → step to completion → result, with the

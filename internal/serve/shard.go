@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"hash/fnv"
 	"sync"
 )
 
@@ -26,15 +25,20 @@ type task struct {
 }
 
 // shard is one worker: a goroutine-owned loop draining a bounded task
-// queue. Sessions are hashed onto shards by ID and every operation on a
-// session executes on its shard's loop, so session state needs no locks —
-// the shard loop is the session's single writer (the same ownership
-// discipline the orchestrate/buffer pipelines in slog-agent use).
+// queue. Each session is placed on the least-loaded shard at admission
+// and every operation on a session executes on its shard's loop, so
+// session state needs no locks — the shard loop is the session's single
+// writer (the same ownership discipline the orchestrate/buffer pipelines
+// in slog-agent use).
 type shard struct {
 	id     int
 	tasks  chan *task
 	stop   chan struct{} // closed by Shutdown after the last submission
 	exited chan struct{} // closed by the loop on exit
+
+	// load counts the sessions placed here that can still step: the
+	// placement key (Server.place). Guarded by Server.mu, not mu.
+	load int
 
 	// mu orders trySubmit's enqueue against the loop's exit: the loop
 	// sets closed under mu before its final queue drain, so every
@@ -112,13 +116,4 @@ func (sh *shard) trySubmit(fn func()) (*task, error) {
 	default:
 		return nil, errBusy
 	}
-}
-
-// shardFor hashes a session ID onto one of n shards (FNV-1a): the
-// assignment is stable for the session's lifetime, so all its operations
-// serialize on one loop.
-func shardFor(id string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(n))
 }
